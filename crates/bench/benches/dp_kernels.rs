@@ -62,9 +62,11 @@ fn bench_warp_engine(c: &mut Criterion) {
     g.sample_size(20);
     for len in [128usize, 1024, 8192] {
         let (t, q) = homologous_pair(len, 7 + len as u64);
-        let insp = WarpConfig::inspector(&OptFlags::fastz());
+        let insp =
+            WarpConfig::inspector(&OptFlags::fastz()).with_backend(WavefrontBackend::Interpreter);
         let insp_simd = insp.with_backend(WavefrontBackend::Simd);
-        let no_cyclic = WarpConfig::inspector(&OptFlags::base());
+        let no_cyclic =
+            WarpConfig::inspector(&OptFlags::base()).with_backend(WavefrontBackend::Interpreter);
         g.bench_with_input(BenchmarkId::new("inspector", len), &len, |b, _| {
             let mut shared = SharedMem::new(96 * 1024);
             b.iter(|| warp_extend(&t, &q, &scoring, &insp, &mut shared).best_score)
@@ -84,7 +86,8 @@ fn bench_warp_engine(c: &mut Criterion) {
         // Executor: trimmed to the inspector's optimum.
         let mut shared = SharedMem::new(96 * 1024);
         let pre = warp_extend(&t, &q, &scoring, &insp, &mut shared);
-        let exec = WarpConfig::executor(&OptFlags::fastz(), pre.best_i, pre.best_j);
+        let exec = WarpConfig::executor(&OptFlags::fastz(), pre.best_i, pre.best_j)
+            .with_backend(WavefrontBackend::Interpreter);
         let exec_simd = exec.with_backend(WavefrontBackend::Simd);
         g.bench_with_input(BenchmarkId::new("executor_trimmed", len), &len, |b, _| {
             let mut shared = SharedMem::new(96 * 1024);

@@ -60,8 +60,9 @@ fn usage() -> ! {
          bin counts, and modeled-GPU-time bits across sim-thread and\n\
          dispatch settings.\n\
          --engine picks the warp engine's wavefront backend\n\
-         (interpreter or simd) for the whole suite; every invariant must\n\
-         hold identically on either. --engine bitvector instead turns on\n\
+         (interpreter, the reference and the default here, or simd) for\n\
+         the whole suite; every invariant must hold identically on\n\
+         either. --engine bitvector instead turns on\n\
          the cross-algorithm drill: the GenASM/Scrooge-style bitvector\n\
          backend against the dense edit-distance oracle and the affine\n\
          y-drop oracle on every corpus case — exact score agreement on\n\

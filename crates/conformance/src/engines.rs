@@ -180,7 +180,7 @@ pub fn check_backend_identity(case: &Case, scoring: &Scoring) -> (usize, Vec<Div
         let mut shared = SharedMem::new(96 * 1024);
         fastz_core::warp_extend(t, q, scoring, cfg, &mut shared)
     };
-    let insp_cfg = WarpConfig::inspector(&flags);
+    let insp_cfg = WarpConfig::inspector(&flags).with_backend(WavefrontBackend::Interpreter);
     let a = run(&insp_cfg);
     let b = run(&insp_cfg.with_backend(WavefrontBackend::Simd));
     checks += 1;
@@ -222,7 +222,8 @@ pub fn check_backend_identity(case: &Case, scoring: &Scoring) -> (usize, Vec<Div
     }
 
     if a.best_i.saturating_mul(a.best_j) <= EXECUTOR_CELL_CAP {
-        let exec_cfg = WarpConfig::executor(&flags, a.best_i, a.best_j);
+        let exec_cfg = WarpConfig::executor(&flags, a.best_i, a.best_j)
+            .with_backend(WavefrontBackend::Interpreter);
         let ea = run(&exec_cfg);
         let eb = run(&exec_cfg.with_backend(WavefrontBackend::Simd));
         checks += 1;

@@ -116,7 +116,7 @@ impl Default for SuiteConfig {
             corrupt_warp_match: 0,
             fault_seed: None,
             sanitize: false,
-            backend: WavefrontBackend::default(),
+            backend: WavefrontBackend::Interpreter,
             bitvector: false,
         }
     }

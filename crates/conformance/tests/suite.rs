@@ -21,7 +21,7 @@ fn small_config() -> SuiteConfig {
         // The sanitizer drill rides along too, exercising the
         // `--sanitize` path through `run_suite` end to end.
         sanitize: true,
-        backend: fastz_core::WavefrontBackend::default(),
+        backend: fastz_core::WavefrontBackend::Interpreter,
         // The cross-algorithm bitvector drill rides along so the
         // agreement/inequality contract stays exercised in tier-1
         // (CI's bitvector job runs it at 500 pairs).

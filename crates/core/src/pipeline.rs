@@ -809,27 +809,35 @@ pub fn run_fastz_in_pool<S: MetricsSink>(
                     exec_cfg.max_rows = insp.explored_rows;
                     exec_cfg.max_cols = insp.explored_cols;
                 }
-                // The bin's arena traceback buffer, leased by slot: the
-                // engine zero-resizes it to the trimmed cell count, so the
-                // first problem of a class allocates and the rest reuse.
-                let rows = q.len().min(exec_cfg.max_rows);
-                let cols = t.len().min(exec_cfg.max_cols);
-                let tbm = arena.tb.lease(slot, rows.saturating_mul(cols));
                 // Executor problem sites live in the upper unit half-space
                 // so their fault schedule is independent of the inspector's.
-                extend_resilient(
-                    t,
-                    q,
-                    &cfg.scoring,
-                    &exec_cfg,
-                    cfg.extend_backend,
-                    &cfg.bitvec,
-                    &mut arena.shared,
-                    tbm,
-                    rcfg,
-                    (1u64 << 32) | idx as u64,
-                    clock_hz,
-                )
+                let mut run = |tbm: &mut Vec<u8>| {
+                    extend_resilient(
+                        t,
+                        q,
+                        &cfg.scoring,
+                        &exec_cfg,
+                        cfg.extend_backend,
+                        &cfg.bitvec,
+                        &mut arena.shared,
+                        tbm,
+                        rcfg,
+                        (1u64 << 32) | idx as u64,
+                        clock_hz,
+                    )
+                };
+                match cfg.extend_backend {
+                    // The bin's arena traceback buffer, leased by slot: the
+                    // engine grows it band by band to the strips it
+                    // computes, so a problem whose band fits what earlier
+                    // problems of the class grew reuses it without
+                    // reallocating.
+                    ExtendBackend::YDrop => arena.tb.lease(slot, run),
+                    // The bitvector engine tracebacks in the scratchpad and
+                    // never touches the buffer; leasing it would count
+                    // reuse of a store nothing used.
+                    ExtendBackend::Bitvector => run(&mut arena.scratch),
+                }
             });
             for (k, (r, log)) in results.into_iter().enumerate() {
                 absorb(&mut res, &mut skipped, bin[k], &log);
@@ -1668,5 +1676,29 @@ mod tests {
             reg.counter(names::EXECUTOR_PROBLEMS_TOTAL).unwrap()
         );
         assert!(hits >= 1, "no arena reuse at all ({hits}/{misses})");
+    }
+
+    #[test]
+    fn bitvector_runs_lease_no_traceback_buffers() {
+        // Only the y-drop executor records into the arena traceback
+        // store, so a bitvector run reports neither reuse nor growth.
+        let (t, q, anchors, span) = demo(112);
+        let mut cfg = config();
+        cfg.extend_backend = ExtendBackend::Bitvector;
+        cfg.scoring.gapped_threshold = 100;
+        cfg.sim_threads = 1;
+        let mut rec = fastz_obs::Recorder::new();
+        run_fastz_observed(
+            &t,
+            &q,
+            &anchors,
+            span,
+            &cfg,
+            &ResilienceConfig::disabled(),
+            &mut rec,
+        );
+        let reg = &rec.registry;
+        assert_eq!(reg.counter(names::ARENA_TB_HITS_TOTAL).unwrap_or(0), 0);
+        assert_eq!(reg.counter(names::ARENA_TB_MISSES_TOTAL).unwrap_or(0), 0);
     }
 }

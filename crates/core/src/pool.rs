@@ -58,7 +58,7 @@ pub enum HostDispatch {
     Static,
 }
 
-/// Bin-class-keyed traceback matrices with reuse accounting.
+/// Bin-class-keyed traceback stores with reuse accounting.
 ///
 /// Separate from [`Arena`]'s public fields so a lease can coexist with
 /// mutable borrows of the scratchpad and reversal buffers.
@@ -70,19 +70,22 @@ pub struct TbArena {
 }
 
 impl TbArena {
-    /// Leases the traceback buffer for bin `slot`, expecting roughly
-    /// `cells` bytes. Counts a hit when the buffer's existing capacity
-    /// already covers the request (no reallocation), a miss otherwise.
-    /// The caller (the warp engine) clears and zero-fills to its exact
-    /// size, so reuse is invisible to the DP.
-    pub fn lease(&mut self, slot: usize, cells: usize) -> &mut Vec<u8> {
+    /// Runs `f` with the traceback buffer for bin `slot` leased to it.
+    /// Counts a hit when `f` left the buffer's capacity as it found it
+    /// (the store fit in what earlier problems of the class had grown),
+    /// a miss when it had to grow it. The warp engine clears the buffer
+    /// and zero-fills each strip band as it opens it, so reuse is
+    /// invisible to the DP.
+    pub fn lease<R>(&mut self, slot: usize, f: impl FnOnce(&mut Vec<u8>) -> R) -> R {
         let buf = &mut self.bufs[slot];
-        if buf.capacity() >= cells {
-            self.hits += 1;
-        } else {
+        let before = buf.capacity();
+        let out = f(buf);
+        if buf.capacity() > before {
             self.misses += 1;
+        } else {
+            self.hits += 1;
         }
-        buf
+        out
     }
 
     /// Drains the (hits, misses) accumulated since the last call.
@@ -107,7 +110,7 @@ pub struct Arena {
     /// Throwaway traceback scratch for phases that record nothing (the
     /// inspector); stays empty.
     pub scratch: Vec<u8>,
-    /// Executor traceback matrices keyed by bin slot.
+    /// Executor traceback stores keyed by bin slot.
     pub tb: TbArena,
 }
 
@@ -141,9 +144,9 @@ pub struct PoolStats {
     pub steals: u64,
     /// Worker-phase participations that ran at least one task.
     pub busy_turns: u64,
-    /// Traceback leases served from an already-large-enough buffer.
+    /// Traceback leases whose store fit the buffer's existing capacity.
     pub tb_hits: u64,
-    /// Traceback leases that had to grow the buffer.
+    /// Traceback leases whose store had to grow the buffer.
     pub tb_misses: u64,
 }
 
@@ -629,16 +632,14 @@ mod tests {
     fn traceback_leases_hit_after_first_miss() {
         with_pool(1, &device(), HostDispatch::Stealing, |pool| {
             pool.run(6, |i, arena| {
-                let buf = arena.tb.lease(2, 1024);
-                if buf.capacity() < 1024 {
-                    buf.reserve(1024);
-                }
-                buf.clear();
-                buf.resize(1024, 0);
+                arena.tb.lease(2, |buf| {
+                    buf.clear();
+                    buf.resize(1024 >> (i % 2), 0);
+                });
                 i
             });
             let s = pool.stats();
-            assert_eq!(s.tb_misses, 1, "only the first lease allocates");
+            assert_eq!(s.tb_misses, 1, "only the first lease grows the buffer");
             assert_eq!(s.tb_hits, 5);
         });
     }

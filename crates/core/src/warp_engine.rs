@@ -36,13 +36,16 @@ use fastz_gpu_sim::{lanes32, shfl_up, splat, Lanes, SharedMem, WarpCounters, WAR
 /// Both backends run the identical step semantics (the kernels live in
 /// [`crate::wavefront_step`]); every observable output — alignments, bin
 /// counts, counters, sanitizer findings, modeled-GPU-time bits — is
-/// bit-identical between them. The choice only affects host wall-clock.
+/// bit-identical between them. The choice only affects host wall-clock,
+/// so the faster SIMD backend is the default; code that means the
+/// reference semantics (identity checks, conformance) names
+/// [`WavefrontBackend::Interpreter`] explicitly.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum WavefrontBackend {
     /// Scalar lane-by-lane interpretation (the reference semantics).
-    #[default]
     Interpreter,
     /// 32-wide host-SIMD vectors via [`fastz_gpu_sim::lanes32`].
+    #[default]
     Simd,
 }
 
@@ -164,6 +167,15 @@ const DEAD: Spill = Spill {
     i: NEG_INF,
 };
 
+/// One strip's band of the executor traceback store: rows
+/// `first_row..first_row + rows`, `width` bytes per row from `offset`.
+#[derive(Clone, Copy)]
+struct TbStrip {
+    first_row: usize,
+    rows: usize,
+    offset: usize,
+}
+
 /// Runs one warp extension of `query` against `target` (suffix slices in
 /// the extension direction). `shared` models the block's shared memory;
 /// the eager window lives there.
@@ -179,11 +191,13 @@ pub fn warp_extend(
 
 /// [`warp_extend`] with an externally owned traceback matrix buffer.
 ///
-/// `tbm` is cleared and zero-resized to exactly the trimmed `m×n` cell
-/// count before use (only in executor mode; non-recording calls never
-/// touch it), so a buffer reused across problems — e.g. from a
-/// [`crate::pool::Arena`] — produces bit-identical results to a fresh
-/// allocation while skipping the per-problem allocation entirely.
+/// In executor mode `tbm` is cleared and then grown by one zero-filled
+/// band per strip as the strip starts — its computed rows × the strip
+/// width, not the trimmed `m×n` rectangle the modeled GPU allocates.
+/// Non-recording calls never touch it. A buffer reused across problems
+/// — e.g. from a [`crate::pool::Arena`] — therefore produces
+/// bit-identical results to a fresh allocation, and reallocates only
+/// when a problem's bands outgrow its capacity.
 pub fn warp_extend_in(
     target: &[u8],
     query: &[u8],
@@ -280,13 +294,15 @@ pub fn warp_extend_traced_in<K: CellSink>(
     let delta =
         width + ((ydrop + width as i32 * max_match).max(0) / scoring.gaps.extend.max(1)) as usize;
 
-    // Executor traceback matrix (trimmed to m×n by construction). The
-    // buffer is zeroed to exactly the cell count (a fresh allocation is
-    // lazily paged by the OS — the same way a cudaMalloc'd bin
-    // allocation costs nothing until written; a reused arena buffer
-    // keeps its capacity); written bytes carry a marker bit so untouched
-    // cells read back as unreachable.
+    // Executor traceback store. The modeled kernel allocates the whole
+    // trimmed m×n matrix (and is capped on it), but the host keeps only
+    // each strip's computed row band: `tb_strips[k]` holds the first
+    // row, row count and byte offset of strip k's band in `tbm`, laid
+    // out row-major `width` bytes per row. Written bytes carry a marker
+    // bit, and every cell outside a band reads back as unreachable —
+    // exactly what an untouched byte of the dense matrix would hold.
     const TB_WRITTEN: u8 = 0x80;
+    let mut tb_strips: Vec<TbStrip> = Vec::new();
     if cfg.record_traceback {
         let cells = m.checked_mul(n).expect("traceback matrix size overflow");
         assert!(
@@ -294,7 +310,6 @@ pub fn warp_extend_traced_in<K: CellSink>(
             "executor traceback of {m}x{n} cells exceeds the model's allocation cap"
         );
         tbm.clear();
-        tbm.resize(cells, 0);
     }
 
     // Spill buffer: boundary column state per row. Strip 0's boundary is
@@ -359,6 +374,19 @@ pub fn warp_extend_traced_in<K: CellSink>(
             }
         };
 
+        // Open this strip's traceback band: rows row_base+1..=row_cap,
+        // the only rows its wavefront can reach.
+        let rows_avail = row_cap - row_base;
+        let tb_base = tbm.len();
+        if cfg.record_traceback {
+            tb_strips.push(TbStrip {
+                first_row: row_base + 1,
+                rows: rows_avail,
+                offset: tb_base,
+            });
+            tbm.resize(tb_base + rows_avail * width, 0);
+        }
+
         // Per-lane cyclic register state, initialized to row `row_base`
         // (the row-0 boundary chain when starting at the top, dead
         // otherwise — cells of row `row_base` itself are dead or
@@ -404,7 +432,6 @@ pub fn warp_extend_traced_in<K: CellSink>(
         let mut subst_v: Lanes<i32> = splat(0);
         let mut thresh_v: Lanes<i32> = splat(0);
         // the last lane finishes row row_cap at t_max - 2
-        let rows_avail = row_cap - row_base;
         let t_max = rows_avail + width;
         let mut t = 0usize;
         while t < t_max {
@@ -526,7 +553,7 @@ pub fn warp_extend_traced_in<K: CellSink>(
                 // Traceback byte (the kernel computes one for every
                 // active lane; S_ORIGIN source when pruned).
                 if cfg.record_traceback {
-                    tbm[(i_idx - 1) * n + (j_idx - 1)] = out.tb[l] | TB_WRITTEN;
+                    tbm[tb_base + (i_idx - row_base - 1) * width + l] = out.tb[l] | TB_WRITTEN;
                     counters.global_written += 1; // 1 B/cell, staged
                     counters.shared_bytes += 2; //   through shared
                 }
@@ -677,11 +704,17 @@ pub fn warp_extend_traced_in<K: CellSink>(
             } else if j == 0 {
                 tb::S_FROM_D | if i > 1 { tb::D_EXTEND } else { 0 }
             } else {
-                let b = tbm[(i - 1) * n + (j - 1)];
-                if b & TB_WRITTEN == 0 {
-                    tb::S_ORIGIN
-                } else {
-                    b & 0x0F
+                let k = (j - 1) / width;
+                match tb_strips.get(k) {
+                    Some(st) if i >= st.first_row && i < st.first_row + st.rows => {
+                        let b = tbm[st.offset + (i - st.first_row) * width + (j - 1 - k * width)];
+                        if b & TB_WRITTEN == 0 {
+                            tb::S_ORIGIN
+                        } else {
+                            b & 0x0F
+                        }
+                    }
+                    _ => tb::S_ORIGIN,
                 }
             }
         };
@@ -732,6 +765,11 @@ mod tests {
 
     fn inspector_cfg() -> WarpConfig {
         WarpConfig::inspector(&OptFlags::fastz())
+    }
+
+    /// The inspector on the reference backend, for identity checks.
+    fn interpreter_cfg() -> WarpConfig {
+        inspector_cfg().with_backend(WavefrontBackend::Interpreter)
     }
 
     fn run(t: &[u8], q: &[u8], cfg: &WarpConfig) -> WarpExtension {
@@ -1001,7 +1039,7 @@ mod tests {
             let cut = rng.gen_range(40..200);
             q.splice(cut..cut + 2, []);
             for width in [1usize, 2, 7, 31, 32] {
-                let icfg = inspector_cfg().with_strip_width(width);
+                let icfg = interpreter_cfg().with_strip_width(width);
                 let a = run(&t, &q, &icfg);
                 let b = run(&t, &q, &icfg.with_backend(WavefrontBackend::Simd));
                 let ctx = format!("seed {seed} width {width}");
@@ -1016,7 +1054,8 @@ mod tests {
                 );
 
                 let ecfg = WarpConfig::executor(&OptFlags::fastz(), a.best_i, a.best_j)
-                    .with_strip_width(width);
+                    .with_strip_width(width)
+                    .with_backend(WavefrontBackend::Interpreter);
                 let ea = run(&t, &q, &ecfg);
                 let eb = run(&t, &q, &ecfg.with_backend(WavefrontBackend::Simd));
                 assert_eq!(ea.ops, eb.ops, "{ctx} (executor)");
@@ -1031,7 +1070,7 @@ mod tests {
         q.splice(70..72, []);
         let mut shared = SharedMem::for_device(&fastz_gpu_sim::DeviceSpec::rtx3080_ampere());
         let mut trace_a = fastz_align::DenseTrace::default();
-        warp_extend_traced(&t, &q, &sc, &inspector_cfg(), &mut shared, &mut trace_a);
+        warp_extend_traced(&t, &q, &sc, &interpreter_cfg(), &mut shared, &mut trace_a);
         let mut shared = SharedMem::for_device(&fastz_gpu_sim::DeviceSpec::rtx3080_ampere());
         let mut trace_b = fastz_align::DenseTrace::default();
         warp_extend_traced(

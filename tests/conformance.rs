@@ -24,7 +24,7 @@ fn engines_agree_on_a_small_fuzz_corpus() {
         sanitize: false,
         // The run_case_on path plus the per-case backend-identity drill
         // exercise the SIMD backend regardless of this setting.
-        backend: fastz_core::WavefrontBackend::default(),
+        backend: fastz_core::WavefrontBackend::Interpreter,
         // The cross-algorithm drill runs in tier-1 via the
         // fastz-conformance crate's own suite tests and at 500 pairs in
         // CI's bitvector job.
@@ -47,7 +47,7 @@ fn conformance_detects_a_corrupted_engine() {
         corrupt_warp_match: 1,
         fault_seed: None,
         sanitize: false,
-        backend: fastz_core::WavefrontBackend::default(),
+        backend: fastz_core::WavefrontBackend::Interpreter,
         bitvector: false,
     });
     assert!(
